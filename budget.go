@@ -12,7 +12,11 @@ import (
 // Memory accounting unit: exhaustive checking charges MaxMemEstimate a
 // fixed amount per visited state — the 16-byte binary StateKey plus a
 // constant per-entry map overhead — so the estimate is exact and
-// independent of lock size, process count and memory model. The visited
+// independent of lock size, process count and memory model. Under
+// partial-order reduction the sequential explorer also charges each sleep
+// set it stores with a state (a second key copy, the same entry overhead
+// and 16 bytes per sleeping commit), releasing the difference when a
+// revisit shrinks one. The visited
 // set is the dominant retained memory of an exploration: both explorers
 // walk one configuration per goroutine under an undo trail, so neither
 // accumulates per-state configuration copies. (Analyses that

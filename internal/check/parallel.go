@@ -110,13 +110,15 @@ type wsStackFrame struct {
 }
 
 // wsFrame is one live DFS stack frame: a node's not-yet-explored successor
-// elements. keys caches the successors' StateKeys when the batched
-// pre-pass ran (Workers>1 fresh frames); keys == nil marks the direct
-// flavor (Workers=1, and adopted checkpoint frames), whose step charges
-// happen at descent — the exact sequential charge order.
+// elements. When keyed, the batched pre-pass ran (Workers>1 fresh frames)
+// and keys caches the successors' StateKeys; an unkeyed frame is the
+// direct flavor (Workers=1, and adopted checkpoint frames), whose step
+// charges happen at descent — the exact sequential charge order. A
+// slot's keys storage is recycled across the frames it holds.
 type wsFrame struct {
 	elems   []machine.Elem
 	keys    []machine.StateKey
+	keyed   bool
 	next    int // cursor: elems[next:end] are pending
 	end     int // donations shrink end from the right
 	crashes int // crash budget spent at this frame's node
@@ -483,7 +485,7 @@ func (e *wsEngine) donate(w *wsWorker, f *wsFrame) {
 	if elem.Crash {
 		nc++
 	}
-	ent := wsEntry{sched: sched, crashes: nc, donor: w.id, charged: f.keys != nil}
+	ent := wsEntry{sched: sched, crashes: nc, donor: w.id, charged: f.keyed}
 	e.mu.Lock()
 	if e.stopped {
 		// The queue is final-snapshot material now; keep the element on
@@ -712,7 +714,8 @@ func (w *wsWorker) pushFrame(crashes int) *wsFrame {
 	}
 	f := &w.frames[n]
 	f.elems = f.elems[:0]
-	f.keys = nil
+	f.keys = f.keys[:0]
+	f.keyed = false
 	f.next, f.end = 0, 0
 	f.crashes = crashes
 	f.depth = len(w.path)
@@ -877,7 +880,7 @@ func (w *wsWorker) visit(crashes int, key machine.StateKey, haveKey bool) (pushe
 // step+revert, and a single batched visited-set lookup drops the
 // already-known majority before they ever reach the stack — cutting both
 // lock traffic and redundant replay. At Workers=1 the frame stays lazy
-// (keys == nil) and charges happen at descent, preserving the sequential
+// (unkeyed) and charges happen at descent, preserving the sequential
 // charge order bit-for-bit.
 func (w *wsWorker) expand(crashes int, nodeKey machine.StateKey) (bool, error) {
 	e := w.e
@@ -936,7 +939,7 @@ func (w *wsWorker) expand(crashes int, nodeKey machine.StateKey) (bool, error) {
 		return false, err
 	}
 	kept := 0
-	f.keys = f.keys[:0]
+	f.keyed = true
 	for _, el := range f.elems {
 		if err := e.meter.AddStep(); err != nil {
 			return bail(err)
@@ -1071,7 +1074,7 @@ func (w *wsWorker) explore() error {
 		i := f.next
 		f.next++
 		el := f.elems[i]
-		if f.keys == nil {
+		if !f.keyed {
 			if err := e.meter.AddStep(); err != nil {
 				f.next--
 				return err
@@ -1092,7 +1095,7 @@ func (w *wsWorker) explore() error {
 		}
 		var key machine.StateKey
 		haveKey := false
-		if f.keys != nil {
+		if f.keyed {
 			key, haveKey = f.keys[i], true
 		}
 		pushed, verr := w.visit(nc, key, haveKey)

@@ -2,6 +2,7 @@ package check
 
 import (
 	"context"
+	"unsafe"
 
 	"tradingfences/internal/lang"
 	"tradingfences/internal/machine"
@@ -51,6 +52,25 @@ type porCommit struct {
 	p int
 	r machine.Reg
 }
+
+// porCommitBytes is the size of one stored sleep-set element.
+const porCommitBytes = int64(unsafe.Sizeof(porCommit{}))
+
+// sleepSetBytes is the memory charge of a stored sleep set of n commits:
+// its visitedSleep entry (a second copy of the state key plus the map
+// bookkeeping every visited state is charged) and its backing array. An
+// empty set is not stored and costs nothing.
+func sleepSetBytes(n int) int64 {
+	if n == 0 {
+		return 0
+	}
+	return machine.StateKeySize + stateKeyOverhead + int64(n)*porCommitBytes
+}
+
+// porSearchDone is a test-only hook: when set, exhaustivePOR hands it the
+// run's meter and final stored sleep sets, so tests can check the memory
+// accounting against what the search actually retains.
+var porSearchDone func(meter *run.Meter, visitedSleep map[machine.StateKey][]porCommit)
 
 func sleepHas(s []porCommit, t porCommit) bool {
 	for _, x := range s {
@@ -161,6 +181,9 @@ func (s *Subject) exhaustivePOR(ctx context.Context, model machine.Model, opts O
 	// state (refining re-expansions can nest on a cycle).
 	visitedSleep := make(map[machine.StateKey][]porCommit, 64)
 	onStack := make(map[machine.StateKey]int, 256)
+	if porSearchDone != nil {
+		defer func() { porSearchDone(meter, visitedSleep) }()
+	}
 	kr := s.newKeyer(opts)
 	res := Result{
 		Complete:        true,
@@ -350,7 +373,11 @@ func (s *Subject) exhaustivePOR(ctx context.Context, model machine.Model, opts O
 			// Covered only for a larger sleep set: shrink the stored
 			// coverage first (guarantees termination on cycles), then
 			// re-expand with the smaller set to explore what was slept.
-			if inter := sleepIntersect(stored, sleep); len(inter) == 0 {
+			inter := sleepIntersect(stored, sleep)
+			if err := meter.AddMem(sleepSetBytes(len(inter)) - sleepSetBytes(len(stored))); err != nil {
+				return false, err
+			}
+			if len(inter) == 0 {
 				delete(visitedSleep, key)
 			} else {
 				visitedSleep[key] = inter
@@ -361,6 +388,9 @@ func (s *Subject) exhaustivePOR(ctx context.Context, model machine.Model, opts O
 			return found, err
 		}
 		if err := meter.AddState(machine.StateKeySize + stateKeyOverhead); err != nil {
+			return false, err
+		}
+		if err := meter.AddMem(sleepSetBytes(len(sleep))); err != nil {
 			return false, err
 		}
 		visited[key] = struct{}{}

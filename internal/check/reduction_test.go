@@ -8,6 +8,7 @@ import (
 
 	"tradingfences/internal/locks"
 	"tradingfences/internal/machine"
+	"tradingfences/internal/run"
 )
 
 // porOpts enumerates the option axes the POR parity suite crosses with the
@@ -77,6 +78,43 @@ func TestPORReducesBuffered(t *testing.T) {
 	}
 	t.Logf("bakery/PSO: %d states unreduced, %d under POR (%.2fx)",
 		base.States, por.States, float64(base.States)/float64(por.States))
+}
+
+// TestPORChargesStoredSleepSets: the POR walker's stored sleep sets are
+// retained memory, so the meter's estimate of a complete run is exactly
+// the per-state charge plus the bytes of the sleep sets it still holds —
+// and a memory budget with room for the states alone trips.
+func TestPORChargesStoredSleepSets(t *testing.T) {
+	s := mustSubject(t, "bakery", locks.NewBakery, 2)
+	var mem, sleepBytes int64
+	porSearchDone = func(m *run.Meter, visitedSleep map[machine.StateKey][]porCommit) {
+		mem = m.Mem()
+		sleepBytes = 0
+		for _, set := range visitedSleep {
+			sleepBytes += sleepSetBytes(len(set))
+		}
+	}
+	defer func() { porSearchDone = nil }()
+	opts := Opts{Reduction: Reduction{POR: true}}
+	res, err := s.Exhaustive(bg(), machine.PSO, opts)
+	if err != nil || !res.Complete || res.Violation {
+		t.Fatalf("bakery/PSO under POR should prove: %+v err=%v", res, err)
+	}
+	if sleepBytes == 0 {
+		t.Fatal("bakery/PSO under POR stored no sleep set; the check is vacuous")
+	}
+	perState := int64(res.States) * (machine.StateKeySize + stateKeyOverhead)
+	if mem != perState+sleepBytes {
+		t.Fatalf("meter charged %d bytes, want %d per-state + %d stored sleep = %d",
+			mem, perState, sleepBytes, perState+sleepBytes)
+	}
+
+	opts.Budget.MaxMemEstimate = perState
+	_, err = s.Exhaustive(bg(), machine.PSO, opts)
+	var be *run.BudgetError
+	if !errors.As(err, &be) || be.Resource != "memory" {
+		t.Fatalf("a budget with room for the states alone must trip on memory, got %v", err)
+	}
 }
 
 // TestReorderBoundFindsViolations: the bounded semantics keep every

@@ -16,17 +16,29 @@
 // which only shared-memory steps are counted.
 package lang
 
-import "fmt"
+import (
+	"fmt"
+	"sync/atomic"
+)
 
 // Value is the domain of register and local-variable values. The paper uses
 // naturals with a distinguished initial value ⊥; we use int64 with 0 playing
 // the role of ⊥ (all the paper's algorithms already treat 0 as "unset").
 type Value = int64
 
-// Expr is a pure expression over a process's local environment.
+// Expr is a pure expression over a process's local environment. An Expr
+// is source: before a program runs, its code index compiles every
+// expression into an evaluator with each local reference resolved to the
+// local's slot, so evaluation never looks a name up.
 type Expr interface {
-	eval(env *Env) (Value, error)
+	// compile resolves local references against the program's slot table.
+	compile(slots map[string]int32) evaluator
 	String() string
+}
+
+// evaluator is a compiled expression.
+type evaluator interface {
+	eval(env *Env) (Value, error)
 }
 
 // Env is the local evaluation environment of one process.
@@ -35,37 +47,50 @@ type Env struct {
 	PID int
 	// N is the number of processes the program was instantiated for.
 	N int
-	// Locals maps variable names to values. Reading an unbound variable
-	// yields 0, matching the zero-value convention for registers.
-	Locals map[string]Value
+	// Locals holds the local variables by slot: the index the program's
+	// code index assigns each bindable name, in sorted-name order. An
+	// unbound local holds 0, matching the zero-value convention for
+	// registers, so reading one needs no bound check.
+	Locals []Value
 }
-
-// Lookup returns the value bound to name, or 0 if unbound.
-func (e *Env) Lookup(name string) Value { return e.Locals[name] }
 
 // constExpr is an integer literal.
 type constExpr struct{ v Value }
 
-func (c constExpr) eval(*Env) (Value, error) { return c.v, nil }
-func (c constExpr) String() string           { return fmt.Sprint(c.v) }
+func (c constExpr) compile(map[string]int32) evaluator { return c }
+func (c constExpr) eval(*Env) (Value, error)           { return c.v, nil }
+func (c constExpr) String() string                     { return fmt.Sprint(c.v) }
 
 // localExpr reads a local variable.
 type localExpr struct{ name string }
 
-func (l localExpr) eval(env *Env) (Value, error) { return env.Lookup(l.name), nil }
-func (l localExpr) String() string               { return l.name }
+func (l localExpr) compile(slots map[string]int32) evaluator {
+	if slot, ok := slots[l.name]; ok {
+		return slotExpr(slot)
+	}
+	// No statement of the program binds the name: it reads 0 forever.
+	return constExpr{0}
+}
+func (l localExpr) String() string { return l.name }
+
+// slotExpr is a compiled local reference.
+type slotExpr int32
+
+func (l slotExpr) eval(env *Env) (Value, error) { return env.Locals[l], nil }
 
 // pidExpr evaluates to the executing process's ID.
 type pidExpr struct{}
 
-func (pidExpr) eval(env *Env) (Value, error) { return Value(env.PID), nil }
-func (pidExpr) String() string               { return "pid" }
+func (pidExpr) compile(map[string]int32) evaluator { return pidExpr{} }
+func (pidExpr) eval(env *Env) (Value, error)       { return Value(env.PID), nil }
+func (pidExpr) String() string                     { return "pid" }
 
 // nExpr evaluates to the process count.
 type nExpr struct{}
 
-func (nExpr) eval(env *Env) (Value, error) { return Value(env.N), nil }
-func (nExpr) String() string               { return "nprocs" }
+func (nExpr) compile(map[string]int32) evaluator { return nExpr{} }
+func (nExpr) eval(env *Env) (Value, error)       { return Value(env.N), nil }
+func (nExpr) String() string                     { return "nprocs" }
 
 // BinOp enumerates binary operators.
 type BinOp int
@@ -98,6 +123,17 @@ type binExpr struct {
 	l, r Expr
 }
 
+func (b binExpr) compile(slots map[string]int32) evaluator {
+	return binEval{op: b.op, l: b.l.compile(slots), r: b.r.compile(slots), src: b}
+}
+
+// binEval is a compiled binary expression; src names it in errors.
+type binEval struct {
+	op   BinOp
+	l, r evaluator
+	src  binExpr
+}
+
 func boolVal(b bool) Value {
 	if b {
 		return 1
@@ -105,7 +141,7 @@ func boolVal(b bool) Value {
 	return 0
 }
 
-func (b binExpr) eval(env *Env) (Value, error) {
+func (b binEval) eval(env *Env) (Value, error) {
 	l, err := b.l.eval(env)
 	if err != nil {
 		return 0, err
@@ -145,12 +181,12 @@ func (b binExpr) eval(env *Env) (Value, error) {
 		return l * r, nil
 	case OpDiv:
 		if r == 0 {
-			return 0, fmt.Errorf("lang: division by zero in %s", b)
+			return 0, fmt.Errorf("lang: division by zero in %s", b.src)
 		}
 		return l / r, nil
 	case OpMod:
 		if r == 0 {
-			return 0, fmt.Errorf("lang: modulo by zero in %s", b)
+			return 0, fmt.Errorf("lang: modulo by zero in %s", b.src)
 		}
 		return l % r, nil
 	case OpEq:
@@ -176,7 +212,11 @@ func (b binExpr) String() string {
 
 type notExpr struct{ e Expr }
 
-func (n notExpr) eval(env *Env) (Value, error) {
+func (n notExpr) compile(slots map[string]int32) evaluator { return notEval{n.e.compile(slots)} }
+
+type notEval struct{ e evaluator }
+
+func (n notEval) eval(env *Env) (Value, error) {
 	v, err := n.e.eval(env)
 	if err != nil {
 		return 0, err
@@ -187,7 +227,13 @@ func (n notExpr) String() string { return fmt.Sprintf("!%s", n.e) }
 
 type condExpr struct{ c, a, b Expr }
 
-func (x condExpr) eval(env *Env) (Value, error) {
+func (x condExpr) compile(slots map[string]int32) evaluator {
+	return condEval{x.c.compile(slots), x.a.compile(slots), x.b.compile(slots)}
+}
+
+type condEval struct{ c, a, b evaluator }
+
+func (x condEval) eval(env *Env) (Value, error) {
 	c, err := x.c.eval(env)
 	if err != nil {
 		return 0, err
@@ -404,6 +450,9 @@ type Program struct {
 	Recovery []Stmt
 	ResumeAt int
 	Durable  []string
+
+	// code is the compiled program, built on first use (see index).
+	code atomic.Pointer[codeIndex]
 }
 
 // NewProgram returns a program with the given name and body.

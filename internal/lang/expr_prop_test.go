@@ -47,9 +47,9 @@ func randExpr(rng *rand.Rand, depth int) Expr {
 	}
 }
 
-func evalOK(t *testing.T, e Expr, env *Env) Value {
+func evalOK(t *testing.T, e Expr, env *exprEnv) Value {
 	t.Helper()
-	v, err := e.eval(env)
+	v, err := env.eval(e)
 	if err != nil {
 		t.Fatalf("eval %s: %v", e, err)
 	}
@@ -62,13 +62,13 @@ func TestQuickEvalDeterministic(t *testing.T) {
 	f := func(seed int64, a, b int8) bool {
 		rng := rand.New(rand.NewSource(seed))
 		e := randExpr(rng, 4)
-		env := &Env{PID: 3, N: 8, Locals: map[string]Value{"a": Value(a), "b": Value(b)}}
-		v1, err1 := e.eval(env)
-		v2, err2 := e.eval(env)
+		env := newExprEnv(3, 8, map[string]Value{"a": Value(a), "b": Value(b)})
+		v1, err1 := env.eval(e)
+		v2, err2 := env.eval(e)
 		if (err1 == nil) != (err2 == nil) || v1 != v2 {
 			return false
 		}
-		return env.Locals["a"] == Value(a) && env.Locals["b"] == Value(b) && len(env.Locals) == 2
+		return env.local("a") == Value(a) && env.local("b") == Value(b) && len(env.env.Locals) == 2
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
@@ -81,9 +81,9 @@ func TestQuickBooleanResultsAre01(t *testing.T) {
 	f := func(seed int64, a, b int16) bool {
 		rng := rand.New(rand.NewSource(seed))
 		x, y := randExpr(rng, 2), randExpr(rng, 2)
-		env := &Env{PID: 1, N: 4, Locals: map[string]Value{"a": Value(a), "b": Value(b)}}
+		env := newExprEnv(1, 4, map[string]Value{"a": Value(a), "b": Value(b)})
 		for _, e := range []Expr{Eq(x, y), Ne(x, y), Lt(x, y), Le(x, y), Gt(x, y), Ge(x, y), And(x, y), Or(x, y), Not(x)} {
-			v, err := e.eval(env)
+			v, err := env.eval(e)
 			if err != nil {
 				continue
 			}
@@ -102,7 +102,7 @@ func TestQuickBooleanResultsAre01(t *testing.T) {
 // subexpressions.
 func TestDeMorgan(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
-	env := &Env{PID: 2, N: 4, Locals: map[string]Value{"a": 5, "b": -3}}
+	env := newExprEnv(2, 4, map[string]Value{"a": 5, "b": -3})
 	for trial := 0; trial < 200; trial++ {
 		x, y := randExpr(rng, 3), randExpr(rng, 3)
 		l1 := evalOK(t, Not(And(x, y)), env)
@@ -121,10 +121,10 @@ func TestDeMorgan(t *testing.T) {
 // TestComparisonTrichotomy: exactly one of <, ==, > holds.
 func TestComparisonTrichotomy(t *testing.T) {
 	f := func(a, b int64) bool {
-		env := &Env{Locals: map[string]Value{"a": a, "b": b}}
-		lt, _ := Lt(L("a"), L("b")).eval(env)
-		eq, _ := Eq(L("a"), L("b")).eval(env)
-		gt, _ := Gt(L("a"), L("b")).eval(env)
+		env := newExprEnv(0, 0, map[string]Value{"a": a, "b": b})
+		lt, _ := env.eval(Lt(L("a"), L("b")))
+		eq, _ := env.eval(Eq(L("a"), L("b")))
+		gt, _ := env.eval(Gt(L("a"), L("b")))
 		return lt+eq+gt == 1
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
@@ -135,14 +135,14 @@ func TestComparisonTrichotomy(t *testing.T) {
 // TestCondEquivalence: Cond(c, a, b) matches the if/else semantics, and
 // short-circuits the untaken branch (errors in it are not raised).
 func TestCondEquivalence(t *testing.T) {
-	env := &Env{Locals: map[string]Value{}}
+	env := newExprEnv(0, 0, map[string]Value{})
 	if v := evalOK(t, Cond(I(1), I(7), Div(I(1), I(0))), env); v != 7 {
 		t.Fatalf("taken-then: %d", v)
 	}
 	if v := evalOK(t, Cond(I(0), Div(I(1), I(0)), I(9)), env); v != 9 {
 		t.Fatalf("taken-else: %d", v)
 	}
-	if _, err := Cond(I(1), Div(I(1), I(0)), I(9)).eval(env); err == nil {
+	if _, err := env.eval(Cond(I(1), Div(I(1), I(0)), I(9))); err == nil {
 		t.Fatal("error in the taken branch must surface")
 	}
 }
@@ -150,7 +150,7 @@ func TestCondEquivalence(t *testing.T) {
 // TestNegativeValuesFlowThrough: the machine word is a signed int64;
 // arithmetic must not clamp or wrap surprisingly within range.
 func TestNegativeValuesFlowThrough(t *testing.T) {
-	env := &Env{Locals: map[string]Value{"a": -40}}
+	env := newExprEnv(0, 0, map[string]Value{"a": -40})
 	cases := []struct {
 		e    Expr
 		want Value

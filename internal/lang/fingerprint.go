@@ -2,7 +2,6 @@ package lang
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 )
 
@@ -18,26 +17,25 @@ func (s *ProcState) AppendFingerprint(b *strings.Builder) {
 		fmt.Fprintf(b, "H%d", s.retValue)
 		return
 	}
+	ci := s.code
 	for _, f := range s.frames {
 		// The statement slice's identity (its backing array) uniquely
 		// identifies the program point, since ASTs are immutable and
 		// shared.
-		if len(f.stmts) > 0 {
-			fmt.Fprintf(b, "|%p:%d", &f.stmts[0], f.idx)
+		if stmts := ci.src[frameBlock(f)]; len(stmts) > 0 {
+			fmt.Fprintf(b, "|%p:%d", &stmts[0], frameIdx(f))
 		} else {
-			fmt.Fprintf(b, "|e:%d", f.idx)
+			fmt.Fprintf(b, "|e:%d", frameIdx(f))
 		}
-		if f.loop != nil {
-			fmt.Fprintf(b, "L%p", f.loop)
+		if loop := frameLoop(f); loop != 0 {
+			fmt.Fprintf(b, "L%p", ci.loops[loop])
 		}
 	}
 	b.WriteByte(';')
-	names := make([]string, 0, len(s.env.Locals))
-	for k := range s.env.Locals {
-		names = append(names, k)
-	}
-	sort.Strings(names)
-	for _, k := range names {
-		fmt.Fprintf(b, "%s=%d,", k, s.env.Locals[k])
+	// Slots are in sorted-name order.
+	for slot, name := range ci.localNames {
+		if s.isBound(int32(slot)) {
+			fmt.Fprintf(b, "%s=%d,", name, s.env.Locals[slot])
+		}
 	}
 }

@@ -67,25 +67,29 @@ func (o Op) String() string {
 // state.
 var ErrHalted = errors.New("lang: process is in a final state")
 
-// frame is one entry of the interpreter's control stack: a statement block
-// plus a cursor. A frame with loop != nil is a loop body; when the cursor
-// passes the end, the loop condition is re-evaluated instead of popping
-// unconditionally.
-type frame struct {
-	stmts []Stmt
-	idx   int
-	loop  *WhileStmt
-}
+// frameSlack is the spare control-stack capacity a fresh or cloned state
+// reserves in its value slab, so the first few nested blocks push without
+// reallocating.
+const frameSlack = 4
 
 // ProcState is the complete local state of one process executing a Program:
 // its environment, control stack, pending operation, and final value. It is
 // a value in the sense that Clone yields an independent deep copy; the
 // encoder and the model checker rely on this.
+//
+// The variable-size state lives in one slab, vals: the locals by slot
+// (env.Locals), then the bound bitmask (bit i set iff slot i is bound —
+// an unbound local is distinguishable from one bound to 0), then the
+// control stack of packed frames, whose spare capacity runs to the end of
+// the slab. A stack that outgrows the slab moves out of it.
 type ProcState struct {
 	prog *Program
+	code *codeIndex
 	env  Env
 
-	frames []frame
+	vals   []Value
+	bound  []Value
+	frames []Value
 
 	// pending is the evaluated shared-memory operation the process is
 	// poised to execute, valid when settled is true and halted is false.
@@ -101,30 +105,58 @@ type ProcState struct {
 // NewProcState returns the initial state of process pid (of n) executing
 // prog.
 func NewProcState(prog *Program, pid, n int) *ProcState {
-	return &ProcState{
-		prog:   prog,
-		env:    Env{PID: pid, N: n, Locals: make(map[string]Value)},
-		frames: []frame{{stmts: prog.Body}},
+	ci := prog.index()
+	s := &ProcState{prog: prog, code: ci, env: Env{PID: pid, N: n}}
+	s.resetSlab(len(ci.localNames)+ci.words, frameSlack)
+	if ci.err != nil {
+		s.fail(ci.err)
+		return s
 	}
+	s.frames = append(s.frames, packFrame(ci.body, 0, 0))
+	return s
 }
 
-// Clone returns an independent deep copy of the state.
+// resetSlab points env.Locals, bound and an empty control stack into a
+// slab whose first head words (the locals and the bitmask) are zero, with
+// room for stack frames after them, reusing the current slab when it is
+// large enough.
+func (s *ProcState) resetSlab(head, stack int) {
+	if cap(s.vals) < head+stack {
+		s.vals = make([]Value, head+stack)
+	} else {
+		s.vals = s.vals[:cap(s.vals)]
+		clear(s.vals[:head])
+	}
+	nl := len(s.code.localNames)
+	s.env.Locals = s.vals[:nl:nl]
+	s.bound = s.vals[nl:head:head]
+	s.frames = s.vals[head:head]
+}
+
+// Clone returns an independent deep copy of the state. The copy's locals,
+// bitmask and control stack share one allocation.
 func (s *ProcState) Clone() *ProcState {
-	c := &ProcState{
-		prog:     s.prog,
-		env:      Env{PID: s.env.PID, N: s.env.N, Locals: make(map[string]Value, len(s.env.Locals))},
-		frames:   make([]frame, len(s.frames)),
-		pending:  s.pending,
-		settled:  s.settled,
-		halted:   s.halted,
-		retValue: s.retValue,
-		err:      s.err,
-	}
-	for k, v := range s.env.Locals {
-		c.env.Locals[k] = v
-	}
-	copy(c.frames, s.frames)
+	c := &ProcState{}
+	c.CopyFrom(s)
 	return c
+}
+
+// CopyFrom makes s an independent copy of src (a distinct state), reusing
+// s's storage when it is large enough — in steady state a copy allocates
+// nothing. The machine's undo log snapshots a process this way before a
+// program step and restores it on revert.
+func (s *ProcState) CopyFrom(src *ProcState) {
+	s.prog, s.code = src.prog, src.code
+	s.env.PID, s.env.N = src.env.PID, src.env.N
+	head := len(src.env.Locals) + len(src.bound)
+	s.resetSlab(head, len(src.frames)+frameSlack)
+	copy(s.vals, src.vals[:head])
+	s.frames = append(s.frames, src.frames...)
+	s.pending = src.pending
+	s.settled = src.settled
+	s.halted = src.halted
+	s.retValue = src.retValue
+	s.err = src.err
 }
 
 // PID returns the process identifier this state was instantiated with.
@@ -144,25 +176,40 @@ func (s *ProcState) Restart() *ProcState {
 // the process re-enters execution at its recovery section; when recovery
 // finishes, control resumes at Body[ResumeAt] rather than at the top of
 // the program — the Chan–Woelfel recover→re-compete shape, not a fresh
-// super-passage.
+// super-passage. Pending local computation is not run first: callers that
+// crash a process mid-computation settle it (NextOp) beforehand.
 func (s *ProcState) CrashRestart() *ProcState {
 	p := s.prog
 	if len(p.Recovery) == 0 {
 		return s.Restart()
 	}
 	ns := NewProcState(p, s.env.PID, s.env.N)
-	for _, name := range p.Durable {
-		if v, ok := s.env.Locals[name]; ok {
-			ns.env.Locals[name] = v
+	if ns.err != nil {
+		return ns
+	}
+	for _, slot := range s.code.durable {
+		if s.isBound(slot) {
+			ns.set(slot, s.env.Locals[slot])
 		}
 	}
 	// Bottom frame resumes the main body at ResumeAt once the recovery
 	// frame on top of it is exhausted.
-	ns.frames = []frame{
-		{stmts: p.Body, idx: p.ResumeAt},
-		{stmts: p.Recovery},
-	}
+	ns.frames = append(ns.frames[:0],
+		packFrame(s.code.body, 0, p.ResumeAt),
+		packFrame(s.code.recovery, 0, 0),
+	)
 	return ns
+}
+
+// set binds local slot to v.
+func (s *ProcState) set(slot int32, v Value) {
+	s.env.Locals[slot] = v
+	s.bound[slot>>6] |= 1 << (slot & 63)
+}
+
+// isBound reports whether local slot is bound.
+func (s *ProcState) isBound(slot int32) bool {
+	return s.bound[slot>>6]&(1<<(slot&63)) != 0
 }
 
 // Program returns the program this state executes.
@@ -182,7 +229,12 @@ func (s *ProcState) Err() error { return s.err }
 
 // Local returns the current value of a local variable (0 if unbound).
 // Intended for tests and trace inspection.
-func (s *ProcState) Local(name string) Value { return s.env.Lookup(name) }
+func (s *ProcState) Local(name string) Value {
+	if slot, ok := s.code.slots[name]; ok {
+		return s.env.Locals[slot]
+	}
+	return 0
+}
 
 // fail records err and halts further progress.
 func (s *ProcState) fail(err error) error {
@@ -204,6 +256,7 @@ func (s *ProcState) settle() error {
 	if s.halted || s.settled {
 		return nil
 	}
+	ci := s.code
 	// Guard against pure local-computation divergence (a while loop whose
 	// condition never touches shared memory). Any correct program performs
 	// a shared op or terminates within a bounded number of local steps.
@@ -212,97 +265,92 @@ func (s *ProcState) settle() error {
 		if steps > localStepLimit {
 			return s.fail(errors.New("local computation exceeded step limit (divergent local loop?)"))
 		}
-		if len(s.frames) == 0 {
+		top := len(s.frames) - 1
+		if top < 0 {
 			// Program ended without an explicit return.
 			s.pending = Op{Kind: OpReturn, Val: 0}
 			s.settled = true
 			return nil
 		}
-		f := &s.frames[len(s.frames)-1]
-		if f.idx >= len(f.stmts) {
-			if f.loop != nil {
-				c, err := f.loop.Cond.eval(&s.env)
+		f := s.frames[top]
+		block := ci.blocks[frameBlock(f)]
+		idx := frameIdx(f)
+		if idx >= len(block) {
+			if loop := frameLoop(f); loop != 0 {
+				c, err := ci.loopCond[loop].eval(&s.env)
 				if err != nil {
 					return s.fail(err)
 				}
 				if c != 0 {
-					f.idx = 0
+					s.frames[top] = f &^ frameIdxMask
 					continue
 				}
 			}
-			s.frames = s.frames[:len(s.frames)-1]
+			s.frames = s.frames[:top]
 			continue
 		}
-		st := f.stmts[f.idx]
-		switch st := st.(type) {
-		case *AssignStmt:
-			v, err := st.E.eval(&s.env)
+		in := &block[idx]
+		switch in.op {
+		case opAssign:
+			v, err := in.a.eval(&s.env)
 			if err != nil {
 				return s.fail(err)
 			}
-			s.env.Locals[st.Dst] = v
-			f.idx++
-		case *IfStmt:
-			c, err := st.Cond.eval(&s.env)
+			s.set(in.dst, v)
+			s.frames[top]++
+		case opIf:
+			c, err := in.a.eval(&s.env)
 			if err != nil {
 				return s.fail(err)
 			}
-			f.idx++
+			s.frames[top]++
 			if c != 0 {
-				if len(st.Then) > 0 {
-					s.frames = append(s.frames, frame{stmts: st.Then})
+				if in.body != 0 {
+					s.frames = append(s.frames, packFrame(in.body, 0, 0))
 				}
-			} else if len(st.Else) > 0 {
-				s.frames = append(s.frames, frame{stmts: st.Else})
+			} else if in.els != 0 {
+				s.frames = append(s.frames, packFrame(in.els, 0, 0))
 			}
-		case *WhileStmt:
-			c, err := st.Cond.eval(&s.env)
+		case opWhile:
+			c, err := in.a.eval(&s.env)
 			if err != nil {
 				return s.fail(err)
 			}
 			if c != 0 {
-				s.frames = append(s.frames, frame{stmts: st.Body, loop: st})
+				s.frames = append(s.frames, packFrame(in.body, in.loop, 0))
 			} else {
-				f.idx++
+				s.frames[top]++
 			}
-		case *ReadStmt:
-			reg, err := st.Reg.eval(&s.env)
+		case opRead:
+			reg, err := in.a.eval(&s.env)
 			if err != nil {
 				return s.fail(err)
 			}
 			s.pending = Op{Kind: OpRead, Reg: reg}
 			s.settled = true
 			return nil
-		case *WriteStmt:
-			reg, err := st.Reg.eval(&s.env)
+		case opWrite, opTAS:
+			reg, err := in.a.eval(&s.env)
 			if err != nil {
 				return s.fail(err)
 			}
-			val, err := st.Val.eval(&s.env)
+			val, err := in.b.eval(&s.env)
 			if err != nil {
 				return s.fail(err)
 			}
-			s.pending = Op{Kind: OpWrite, Reg: reg, Val: val}
+			kind := OpWrite
+			if in.op == opTAS {
+				kind = OpTAS
+			}
+			s.pending = Op{Kind: kind, Reg: reg, Val: val}
 			s.settled = true
 			return nil
-		case *FenceStmt:
+		case opFence:
 			s.pending = Op{Kind: OpFence}
 			s.settled = true
 			return nil
-		case *TasStmt:
-			reg, err := st.Reg.eval(&s.env)
-			if err != nil {
-				return s.fail(err)
-			}
-			val, err := st.Val.eval(&s.env)
-			if err != nil {
-				return s.fail(err)
-			}
-			s.pending = Op{Kind: OpTAS, Reg: reg, Val: val}
-			s.settled = true
-			return nil
-		case *ReturnStmt:
-			v, err := st.E.eval(&s.env)
+		case opReturn:
+			v, err := in.a.eval(&s.env)
 			if err != nil {
 				return s.fail(err)
 			}
@@ -310,7 +358,7 @@ func (s *ProcState) settle() error {
 			s.settled = true
 			return nil
 		default:
-			return s.fail(fmt.Errorf("unknown statement type %T", st))
+			return s.fail(fmt.Errorf("unknown statement type %T", ci.src[frameBlock(f)][idx]))
 		}
 	}
 }
@@ -336,8 +384,14 @@ func (s *ProcState) advance() {
 	if len(s.frames) == 0 {
 		return
 	}
-	f := &s.frames[len(s.frames)-1]
-	f.idx++
+	s.frames[len(s.frames)-1]++
+}
+
+// poisedDst returns the destination slot of the statement that produced
+// the pending read or TAS.
+func (s *ProcState) poisedDst() int32 {
+	f := s.frames[len(s.frames)-1]
+	return s.code.blocks[frameBlock(f)][frameIdx(f)].dst
 }
 
 // CompleteRead delivers the result of the pending read and advances the
@@ -353,8 +407,7 @@ func (s *ProcState) CompleteRead(v Value) error {
 	if op.Kind != OpRead {
 		return s.fail(fmt.Errorf("CompleteRead while poised at %s", op))
 	}
-	st := s.frames[len(s.frames)-1].stmts[s.frames[len(s.frames)-1].idx].(*ReadStmt)
-	s.env.Locals[st.Dst] = v
+	s.set(s.poisedDst(), v)
 	s.advance()
 	return nil
 }
@@ -373,8 +426,7 @@ func (s *ProcState) CompleteTas(old Value) error {
 	if op.Kind != OpTAS {
 		return s.fail(fmt.Errorf("CompleteTas while poised at %s", op))
 	}
-	st := s.frames[len(s.frames)-1].stmts[s.frames[len(s.frames)-1].idx].(*TasStmt)
-	s.env.Locals[st.Dst] = old
+	s.set(s.poisedDst(), old)
 	s.advance()
 	return nil
 }
@@ -406,7 +458,7 @@ func (s *ProcState) CompleteReturn() error {
 	}
 	s.halted = true
 	s.retValue = op.Val
-	s.frames = nil
+	s.frames = s.frames[:0]
 	s.settled = false
 	return nil
 }

@@ -45,7 +45,7 @@ func run(t *testing.T, prog *Program, pid, n int, mem map[Value]Value) (Value, *
 }
 
 func TestExprArithmetic(t *testing.T) {
-	env := &Env{PID: 3, N: 8, Locals: map[string]Value{"x": 10, "y": 4}}
+	env := newExprEnv(3, 8, map[string]Value{"x": 10, "y": 4})
 	cases := []struct {
 		e    Expr
 		want Value
@@ -77,7 +77,7 @@ func TestExprArithmetic(t *testing.T) {
 		{Cond(I(0), I(10), I(20)), 20},
 	}
 	for _, c := range cases {
-		got, err := c.e.eval(env)
+		got, err := env.eval(c.e)
 		if err != nil {
 			t.Errorf("%s: %v", c.e, err)
 			continue
@@ -89,26 +89,26 @@ func TestExprArithmetic(t *testing.T) {
 }
 
 func TestExprShortCircuit(t *testing.T) {
-	env := &Env{Locals: map[string]Value{}}
+	env := newExprEnv(0, 0, map[string]Value{})
 	// Division by zero on the right must not be evaluated when the left
 	// side short-circuits.
-	if v, err := And(I(0), Div(I(1), I(0))).eval(env); err != nil || v != 0 {
+	if v, err := env.eval(And(I(0), Div(I(1), I(0)))); err != nil || v != 0 {
 		t.Errorf("And short-circuit: v=%d err=%v", v, err)
 	}
-	if v, err := Or(I(1), Div(I(1), I(0))).eval(env); err != nil || v != 1 {
+	if v, err := env.eval(Or(I(1), Div(I(1), I(0)))); err != nil || v != 1 {
 		t.Errorf("Or short-circuit: v=%d err=%v", v, err)
 	}
 }
 
 func TestExprErrors(t *testing.T) {
-	env := &Env{Locals: map[string]Value{}}
-	if _, err := Div(I(1), I(0)).eval(env); err == nil {
+	env := newExprEnv(0, 0, map[string]Value{})
+	if _, err := env.eval(Div(I(1), I(0))); err == nil {
 		t.Error("division by zero should error")
 	}
-	if _, err := Mod(I(1), I(0)).eval(env); err == nil {
+	if _, err := env.eval(Mod(I(1), I(0))); err == nil {
 		t.Error("modulo by zero should error")
 	}
-	if _, err := Add(Div(I(1), I(0)), I(1)).eval(env); err == nil {
+	if _, err := env.eval(Add(Div(I(1), I(0)), I(1))); err == nil {
 		t.Error("error should propagate from left operand")
 	}
 }

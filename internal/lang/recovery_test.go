@@ -180,3 +180,19 @@ func TestStateKeyRecoverySections(t *testing.T) {
 		t.Error("completed recovery with equal durable state does not rejoin the fresh key")
 	}
 }
+
+// TestNegativeResumeAtFails: a recoverable program whose resume point
+// lies before its body cannot run; its processes fail with an error on
+// their first step, before and after a crash, instead of panicking.
+func TestNegativeResumeAtFails(t *testing.T) {
+	p := NewProgram("bad", Read("x", I(1)), Return(L("x")))
+	p.Recovery = []Stmt{Read("r", I(2))}
+	p.ResumeAt = -1
+	s := NewProcState(p, 0, 1)
+	if _, _, err := s.NextOp(); err == nil || !strings.Contains(err.Error(), "ResumeAt") {
+		t.Fatalf("NextOp = %v, want a ResumeAt error", err)
+	}
+	if _, _, err := s.CrashRestart().NextOp(); err == nil {
+		t.Fatal("a crashed process of the program must fail too")
+	}
+}

@@ -193,6 +193,14 @@ func (c *Config) crashStep(p int, u *Undo) (StepRecord, bool, error) {
 	if ps.Halted() {
 		return StepRecord{}, false, nil
 	}
+	// Local computation is not a step: the crash strikes the settled
+	// process, so durable locals its pending computation assigns survive.
+	// Without this, whether they survive would depend on whether someone
+	// happened to key or step the process first — the sequential explorer
+	// always keys before expanding, a replayed schedule need not.
+	if _, _, err := ps.NextOp(); err != nil {
+		return StepRecord{}, false, err
+	}
 	known := c.cacheKnown[p*c.cacheStride : (p+1)*c.cacheStride]
 	if u != nil {
 		// The crash replaces the buffer and interpreter pointers (the old

@@ -142,6 +142,11 @@ type Config struct {
 	reorderBound int
 	wbAges       []uint8
 	ageScratch   []Reg
+
+	// spareProcs recycles the undo log's process snapshots: Revert returns
+	// a snapshot here once it has been copied back (see snapshotProc).
+	// Never shared by clones.
+	spareProcs []*lang.ProcState
 }
 
 // MaxReorderBound is the largest accepted reorder bound: ages are stored
@@ -564,7 +569,7 @@ func (c *Config) step(e Elem, u *Undo) (rec StepRecord, took bool, err error) {
 	// first (commit steps above never touch it — NextOp settled it, and
 	// settling is behaviour-invariant).
 	if u != nil {
-		u.prevProc = ps.Clone()
+		u.prevProc = c.snapshotProc(ps)
 	}
 	switch op.Kind {
 	case lang.OpRead:

@@ -203,6 +203,60 @@ func TestCrashRestartRecoverable(t *testing.T) {
 	}
 }
 
+// TestCrashUnsettledEqualsSettled: a crash strikes the settled process.
+// Crashing a process whose pending local computation assigns a durable
+// local gives the same configuration as crashing it after NextOp — the
+// durable value survives either way — under Step and under StepUndo, and
+// reverting the crash restores the pre-crash state.
+func TestCrashUnsettledEqualsSettled(t *testing.T) {
+	prog := recoverable("r",
+		[]lang.Stmt{
+			lang.Read("v", lang.I(100)),
+			lang.Assign("d", lang.Add(lang.L("v"), lang.I(1))), // durable, local computation
+			lang.Read("w", lang.I(101)),
+			lang.Return(lang.I(0)),
+		},
+		[]lang.Stmt{lang.Read("rec", lang.I(102))},
+		2,
+		"d",
+	)
+	mk := func() *Config {
+		c, _ := mkConfig(t, SC, prog)
+		c.SetRegister(100, 6)
+		step(t, c, PBottom(0)) // read v; the assignment to d is pending
+		return c
+	}
+	settled := mk()
+	if _, _, err := settled.NextOp(0); err != nil {
+		t.Fatal(err)
+	}
+	step(t, settled, PCrash(0))
+	want := key(t, settled)
+	if got := settled.Proc(0).Local("d"); got != 7 {
+		t.Fatalf("durable d = %d after a settled crash, want 7", got)
+	}
+
+	unsettled := mk()
+	step(t, unsettled, PCrash(0))
+	if got := key(t, unsettled); got != want {
+		t.Fatalf("crashing an unsettled process keys %s, settled crash %s", got, want)
+	}
+
+	before := key(t, mk())
+	undo := mk()
+	_, took, u, err := undo.StepUndo(PCrash(0))
+	if err != nil || !took {
+		t.Fatalf("StepUndo crash: took=%v err=%v", took, err)
+	}
+	if got := key(t, undo); got != want {
+		t.Fatalf("StepUndo crash keys %s, settled crash %s", got, want)
+	}
+	u.Revert()
+	if got := key(t, undo); got != before {
+		t.Fatalf("reverted crash keys %s, pre-crash state %s", got, before)
+	}
+}
+
 // TestCrashRestartNonRecoverableUnchanged: without a recovery section the
 // crash semantics are the original cold restart.
 func TestCrashRestartNonRecoverableUnchanged(t *testing.T) {

@@ -1,6 +1,10 @@
 package machine
 
-import "bytes"
+import (
+	"bytes"
+
+	"tradingfences/internal/lang"
+)
 
 // Process-symmetry canonicalization. The paper's lower bound (Section 4)
 // is built on permutations π of interchangeable processes, and the locks
@@ -40,14 +44,29 @@ type SymmetrySpec struct {
 }
 
 // renamer applies one permutation to a configuration during encoding.
+// The spec's maps are resolved once into dense tables: regOff over the
+// layout's registers (and any declared register past it), and one
+// per-slot table per program, so encoding renames a value with an index
+// instead of a map lookup.
 type renamer struct {
 	perm []int // π: old pid → new pid
 	inv  []int // π⁻¹
 	// regMap[r] is the renamed register, dense over the layout.
-	regMap  []Reg
-	spec    *SymmetrySpec
-	n       int
-	localFn func(name string, v Value) Value
+	regMap []Reg
+	// regOff[r] is register r's PID-domain offset when regPID[r] is set.
+	regOff []Value
+	regPID []bool
+	spec   *SymmetrySpec
+	n      int
+	// locals caches the local renaming of each program met so far (a
+	// configuration's processes usually share one program).
+	locals []localRenaming
+}
+
+// localRenaming is a renamer's per-slot local table for one program.
+type localRenaming struct {
+	prog *lang.Program
+	fn   func(slot int, v Value) Value
 }
 
 func newRenamer(lay *Layout, n int, spec *SymmetrySpec, perm []int) *renamer {
@@ -64,17 +83,51 @@ func newRenamer(lay *Layout, n int, spec *SymmetrySpec, perm []int) *renamer {
 			rn.regMap[a.Base+Reg(i)] = a.Base + Reg(perm[i])
 		}
 	}
-	rn.localFn = func(name string, v Value) Value {
-		d, ok := spec.PIDLocals[name]
-		if !ok {
-			return v
+	size := lay.Size()
+	for r := range spec.PIDRegs {
+		size = max(size, int(r)+1)
+	}
+	rn.regOff = make([]Value, size)
+	rn.regPID = make([]bool, size)
+	for r, d := range spec.PIDRegs {
+		if r >= 0 {
+			rn.regOff[r], rn.regPID[r] = d, true
 		}
-		if x := v - d; x >= 0 && x < Value(n) {
-			return d + Value(perm[x])
-		}
-		return v
 	}
 	return rn
+}
+
+// rename maps a PID-domain value with offset d through the permutation;
+// values outside the domain's window are fixed.
+func (rn *renamer) rename(d, v Value) Value {
+	if x := v - d; x >= 0 && x < Value(rn.n) {
+		return d + Value(rn.perm[x])
+	}
+	return v
+}
+
+// localFn returns the local renaming for processes running prog, built on
+// first use from the spec's PIDLocals.
+func (rn *renamer) localFn(prog *lang.Program) func(slot int, v Value) Value {
+	for _, l := range rn.locals {
+		if l.prog == prog {
+			return l.fn
+		}
+	}
+	names := prog.LocalNames()
+	off := make([]Value, len(names))
+	pid := make([]bool, len(names))
+	for slot, name := range names {
+		off[slot], pid[slot] = rn.spec.PIDLocals[name]
+	}
+	fn := func(slot int, v Value) Value {
+		if !pid[slot] {
+			return v
+		}
+		return rn.rename(off[slot], v)
+	}
+	rn.locals = append(rn.locals, localRenaming{prog: prog, fn: fn})
+	return fn
 }
 
 func (rn *renamer) reg(r Reg) Reg {
@@ -85,14 +138,10 @@ func (rn *renamer) reg(r Reg) Reg {
 }
 
 func (rn *renamer) val(r Reg, v Value) Value {
-	d, ok := rn.spec.PIDRegs[r]
-	if !ok {
+	if r < 0 || int(r) >= len(rn.regPID) || !rn.regPID[r] {
 		return v
 	}
-	if x := v - d; x >= 0 && x < Value(rn.n) {
-		return d + Value(rn.perm[x])
-	}
-	return v
+	return rn.rename(rn.regOff[r], v)
 }
 
 // perProcessArrays returns the arrays that rename positionally under a

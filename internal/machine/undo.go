@@ -44,9 +44,10 @@ type Undo struct {
 	valid bool
 
 	// Interpreter state of the stepping process before a rule-4 program
-	// step (commit steps never touch it). For a crash step this is the
-	// pre-crash state itself: crashStep replaces the pointer, leaving the
-	// old value intact.
+	// step (commit steps never touch it): a recycled snapshot that Revert
+	// copies back into the live state, keeping its pointer stable. For a
+	// crash step this is the pre-crash state itself: crashStep replaces
+	// the pointer, leaving the old value intact.
 	prevProc *lang.ProcState
 
 	// One shared-memory cell.
@@ -130,6 +131,20 @@ func (c *Config) StepUndo(e Elem) (rec StepRecord, took bool, u Undo, err error)
 	return rec, took, u, err
 }
 
+// snapshotProc copies ps into a recycled snapshot for the undo log. The
+// snapshots cycle between here and Revert in LIFO order, so in steady
+// state a program step's undo allocates nothing.
+func (c *Config) snapshotProc(ps *lang.ProcState) *lang.ProcState {
+	n := len(c.spareProcs)
+	if n == 0 {
+		return ps.Clone()
+	}
+	snap := c.spareProcs[n-1]
+	c.spareProcs = c.spareProcs[:n-1]
+	snap.CopyFrom(ps)
+	return snap
+}
+
 // Revert restores the configuration to its state before the step that
 // produced this undo. No-op on an inert (zero or already-reverted) Undo.
 func (u *Undo) Revert() {
@@ -145,7 +160,8 @@ func (u *Undo) Revert() {
 		copy(c.cacheKnown[p*c.cacheStride:(p+1)*c.cacheStride], u.prevCacheKnown)
 	} else {
 		if u.prevProc != nil {
-			c.procs[p] = u.prevProc
+			c.procs[p].CopyFrom(u.prevProc)
+			c.spareProcs = append(c.spareProcs, u.prevProc)
 		}
 		switch u.bufOp {
 		case bufUncommit:

@@ -180,6 +180,47 @@ func TestParallelWorkersOneMatchesSequentialWatermarks(t *testing.T) {
 	}
 }
 
+// TestParallelCrashBudgetInvarianceRME: recoverable locks under a crash
+// budget explore the same state space at every worker count. A stolen
+// prefix is replayed with plain steps, so a crash can strike a process
+// whose pending local computation has not run yet; crash steps settle the
+// process first, or such a replay drops the durable locals that
+// computation assigns and the counts drift (rtas-n2 read 1,769 states at
+// workers=2 against 1,584 sequentially).
+func TestParallelCrashBudgetInvarianceRME(t *testing.T) {
+	for _, tc := range []struct {
+		lock   string
+		states int
+	}{
+		{"rtas", 1584},
+		{"rbakery", 3940},
+	} {
+		s, err := NewSubject(tc.lock, 2, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		opts := check.Opts{Faults: &machine.FaultPlan{MaxCrashes: 1}}
+		seq, err := s.Exhaustive(context.Background(), machine.SC, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if seq.Violation || !seq.Complete || seq.States != tc.states {
+			t.Fatalf("%s sequential: %+v, want a complete proof over %d states", tc.lock, seq, tc.states)
+		}
+		for _, workers := range []int{1, 2} {
+			opts.Workers = workers
+			par, err := s.ExhaustiveParallel(context.Background(), machine.SC, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if par.Violation || !par.Complete || par.States != seq.States {
+				t.Fatalf("%s workers=%d: %d states (complete=%v violation=%v), sequential %d",
+					tc.lock, workers, par.States, par.Complete, par.Violation, seq.States)
+			}
+		}
+	}
+}
+
 // A violation witness of a crashed execution replays through the subject
 // and reproduces co-residency — the foundation of the facade's witness
 // artifacts for the rme op.

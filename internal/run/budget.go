@@ -167,6 +167,17 @@ func (m *Meter) AddSteps(n int64) error {
 	return nil
 }
 
+// AddMem charges delta bytes of retained memory that is not itself a
+// state — a reduction's per-state side tables. A negative delta releases
+// memory charged earlier; only growth can trip MaxMemEstimate.
+func (m *Meter) AddMem(delta int64) error {
+	m.mem += delta
+	if delta > 0 && m.b.MaxMemEstimate > 0 && m.mem > m.b.MaxMemEstimate {
+		return &BudgetError{Resource: "memory", Limit: m.b.MaxMemEstimate, Used: m.mem}
+	}
+	return nil
+}
+
 // AddState charges one interned state of approximately memEstimate bytes
 // and periodically re-checks context and wall budget.
 func (m *Meter) AddState(memEstimate int64) error {
