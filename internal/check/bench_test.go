@@ -61,13 +61,15 @@ func BenchmarkExhaustiveParallel(b *testing.B) {
 	}
 }
 
-// BenchmarkProgress measures the full state-graph liveness analysis.
+// BenchmarkProgress measures the full state-graph liveness analysis. It
+// reports states/op so CI can hold allocs/op to a per-state floor.
 func BenchmarkProgress(b *testing.B) {
 	s, err := NewMutexSubject("bakery", locks.NewBakery, 2, 1)
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
+	states := 0
 	for i := 0; i < b.N; i++ {
 		res, err := s.CheckProgress(bg(), machine.PSO, statesOpt(3_000_000))
 		if err != nil {
@@ -76,7 +78,9 @@ func BenchmarkProgress(b *testing.B) {
 		if !res.DeadlockFree || !res.WeakObstructionFree {
 			b.Fatalf("unexpected result: %v", res)
 		}
+		states = res.States
 	}
+	b.ReportMetric(float64(states), "states/op")
 }
 
 // BenchmarkViolationSearch measures how quickly the exhaustive search hits

@@ -33,7 +33,7 @@ func sampleCheckpoint() *Checkpoint {
 		ReorderBound: 2,
 		POR:          true,
 		Level:        4,
-		Frontier:   []CheckpointNode{{Schedule: "p0 p1 p0:R3"}, {Schedule: "p1 p0!", Crashes: 1}},
+		Frontier:     []CheckpointNode{{Schedule: "p0 p1 p0:R3"}, {Schedule: "p1 p0!", Crashes: 1}},
 		Stacks: []CheckpointStack{{
 			Schedule: "p0 p1",
 			Frames: []CheckpointFrame{
@@ -110,11 +110,11 @@ func TestCheckpointValidation(t *testing.T) {
 		"no pending work": mut(func(c *Checkpoint) { c.Frontier, c.Stacks = nil, nil }),
 		"wrong engine":    mut(func(c *Checkpoint) { c.Engine = "bfs-level-sync" }),
 		"bad model":       mut(func(c *Checkpoint) { c.Model = "RMO" }),
-		"bad schedule":  mut(func(c *Checkpoint) { c.Frontier[0].Schedule = "q9" }),
-		"no identity":   mut(func(c *Checkpoint) { c.Identity = "" }),
-		"bad codec":     mut(func(c *Checkpoint) { c.Codec = machine.StateKeyCodecVersion + 1 }),
-		"bad root key":  mut(func(c *Checkpoint) { c.RootFP = "root-token" }),
-		"bad shard key": mut(func(c *Checkpoint) { c.Shards[1][0] = "not-hex" }),
+		"bad schedule":    mut(func(c *Checkpoint) { c.Frontier[0].Schedule = "q9" }),
+		"no identity":     mut(func(c *Checkpoint) { c.Identity = "" }),
+		"bad codec":       mut(func(c *Checkpoint) { c.Codec = machine.StateKeyCodecVersion + 1 }),
+		"bad root key":    mut(func(c *Checkpoint) { c.RootFP = "root-token" }),
+		"bad shard key":   mut(func(c *Checkpoint) { c.Shards[1][0] = "not-hex" }),
 		"short shard key": mut(func(c *Checkpoint) {
 			c.Shards[0][0] = c.Shards[0][0][:30]
 		}),

@@ -185,7 +185,7 @@ func (s *FCFSSubject) Exhaustive(ctx context.Context, model machine.Model, opts 
 	if err := opts.noReduction("FCFS checking"); err != nil {
 		return FCFSResult{}, err
 	}
-	root, err := s.Build(model)
+	c, err := s.Build(model)
 	if err != nil {
 		return FCFSResult{}, err
 	}
@@ -195,8 +195,17 @@ func (s *FCFSSubject) Exhaustive(ctx context.Context, model machine.Model, opts 
 	var enc machine.KeyEncoder
 	var keyBuf []byte
 
-	var dfs func(c *machine.Config, m *fcfsMonitor, path machine.Schedule) (bool, error)
-	dfs = func(c *machine.Config, m *fcfsMonitor, path machine.Schedule) (bool, error) {
+	// One successor slice per recursion depth (it stays live across the
+	// recursive calls issued while iterating it) and a single register
+	// slice (consumed before recursing).
+	var elemScratch [][]machine.Elem
+	regScratch := make([]machine.Reg, 0, 8)
+
+	// The search walks the single configuration c: each edge is taken in
+	// place with StepUndo and rolled back with Undo.Revert after the child
+	// returns. Only the small precedence monitor is copied per edge.
+	var dfs func(m *fcfsMonitor, path machine.Schedule, depth int) (bool, error)
+	dfs = func(m *fcfsMonitor, path machine.Schedule, depth int) (bool, error) {
 		var err error
 		keyBuf, err = enc.AppendStateBytes(c, keyBuf[:0])
 		if err != nil {
@@ -212,27 +221,26 @@ func (s *FCFSSubject) Exhaustive(ctx context.Context, model machine.Model, opts 
 		}
 		visited[key] = struct{}{}
 
+		if depth >= len(elemScratch) {
+			elemScratch = append(elemScratch, make([]machine.Elem, 0, 8))
+		}
 		for p := 0; p < c.N(); p++ {
 			if c.Halted(p) {
 				continue
 			}
-			elems := []machine.Elem{machine.PBottom(p)}
-			for _, r := range c.BufferRegs(p) {
+			elems := append(elemScratch[depth][:0], machine.PBottom(p))
+			regScratch = c.AppendBufferRegs(p, regScratch[:0])
+			for _, r := range regScratch {
 				if c.CanCommit(p, r) {
 					elems = append(elems, machine.PReg(p, r))
 				}
 			}
+			elemScratch[depth] = elems
 			for _, e := range elems {
 				if err := meter.AddStep(); err != nil {
 					return false, err
 				}
-				// Clone only elements that will take; Enabled reports true
-				// on would-be-error states, so errors still surface below.
-				if !c.Enabled(e) {
-					continue
-				}
-				next := c.Clone()
-				rec, took, err := next.Step(e)
+				rec, took, u, err := c.StepUndo(e)
 				if err != nil {
 					return false, err
 				}
@@ -241,12 +249,14 @@ func (s *FCFSSubject) Exhaustive(ctx context.Context, model machine.Model, opts 
 				}
 				nm := m.clone()
 				if violator, overtaken, bad := nm.observe(s, rec); bad {
+					u.Revert()
 					res.Violation = true
 					res.Violator, res.Overtaken = violator, overtaken
 					res.Witness = append(append(machine.Schedule(nil), path...), e)
 					return true, nil
 				}
-				found, err := dfs(next, nm, append(path, e))
+				found, err := dfs(nm, append(path, e), depth+1)
+				u.Revert()
 				if err != nil || found {
 					return found, err
 				}
@@ -255,7 +265,7 @@ func (s *FCFSSubject) Exhaustive(ctx context.Context, model machine.Model, opts 
 		return false, nil
 	}
 
-	if _, err := dfs(root, newFCFSMonitor(s.n), nil); err != nil {
+	if _, err := dfs(newFCFSMonitor(s.n), nil, 0); err != nil {
 		res.States = len(visited)
 		res.Complete = false
 		return res, err

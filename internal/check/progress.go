@@ -3,14 +3,19 @@ package check
 import (
 	"context"
 	"fmt"
+	"math"
 
 	"tradingfences/internal/machine"
 	"tradingfences/internal/run"
 )
 
-// nodeMemEstimate is the rough per-node retained cost of the progress
-// graph beyond the fingerprint: the cloned configuration plus adjacency.
-const nodeMemEstimate = 1024
+// nodeMemEstimate is the per-node retained cost of the progress graph
+// beyond the fingerprint: the index entry, the compact node record and its
+// successor ids. Measured at ~66 B (82 B with the fingerprint) on
+// bakery-n3/SC at the end of exploration. The analysis then releases the
+// index before building its reverse adjacency (~4 B per node and per
+// edge). TestProgressMemEstimateHonest holds the meter to the live heap.
+const nodeMemEstimate = 72
 
 // ProgressResult reports the liveness analysis of a subject.
 type ProgressResult struct {
@@ -68,155 +73,206 @@ func (s *Subject) CheckProgress(ctx context.Context, model machine.Model, opts O
 	if err := opts.noReduction("liveness analysis"); err != nil {
 		return nil, err
 	}
-	meter := run.NewMeter(ctx, opts.Budget)
-	type node struct {
-		cfg    *machine.Config
-		parent int // node the exploration reached this state from (-1 root)
-		via    machine.Elem
-		succs  []int
-		term   bool // all processes halted
+	res := &ProgressResult{}
+	g, err := s.exploreProgress(run.NewMeter(ctx, opts.Budget), model, res)
+	if g == nil {
+		return nil, err
 	}
+	res.Complete = err == nil
+	g.analyse(res)
+	return res, err
+}
 
-	root, err := s.Build(model)
+// progressNode is what the liveness graph keeps per reachable state: no
+// configuration, only the witness link and the adjacency the analysis
+// needs.
+type progressNode struct {
+	via            machine.Elem // element taken from parent
+	parent         int32        // node the exploration reached this state from (-1 root)
+	succLo, succHi int32        // successor ids are progressGraph.succs[succLo:succHi]
+	term           bool         // all processes halted
+}
+
+// progressGraph is the reachable state graph a liveness analysis runs on.
+type progressGraph struct {
+	index map[machine.StateKey]int32 // fingerprint → node id; exploration only
+	nodes []progressNode
+	succs []int32
+}
+
+// exploreProgress builds the reachable state graph depth-first over a
+// single configuration: each edge is taken in place with StepUndo and
+// rolled back with Undo.Revert, so the graph retains compact per-node
+// records instead of a configuration per node. The weak obstruction-
+// freedom condition is checked at each state on first discovery, while
+// the live configuration (including the Stats().Steps the precondition
+// reads, which the undo log restores) is the one the exploration path
+// reached. A limit error is returned with the graph built so far; any
+// other error, or a limit tripped by the root itself, with a nil graph.
+func (s *Subject) exploreProgress(meter *run.Meter, model machine.Model, res *ProgressResult) (*progressGraph, error) {
+	c, err := s.Build(model)
 	if err != nil {
 		return nil, err
 	}
-	res := &ProgressResult{Complete: true}
-
-	index := make(map[machine.StateKey]int, 1024)
-	var nodes []*node
+	g := &progressGraph{index: make(map[machine.StateKey]int32, 1024)}
 	var enc machine.KeyEncoder
 	var keyBuf []byte
 
-	intern := func(c *machine.Config, parent int, via machine.Elem) (int, bool, error) {
+	intern := func(parent int32, via machine.Elem) (int32, bool, error) {
 		var err error
 		keyBuf, err = enc.AppendStateBytes(c, keyBuf[:0])
 		if err != nil {
 			return 0, false, err
 		}
 		key := machine.HashStateKey(keyBuf)
-		if id, ok := index[key]; ok {
+		if id, ok := g.index[key]; ok {
 			return id, false, nil
 		}
-		// The graph retains a cloned configuration per node, so the memory
-		// estimate is dominated by the config, not the key.
+		if len(g.nodes) == math.MaxInt32 {
+			return 0, false, fmt.Errorf("check: liveness graph exceeds %d states", math.MaxInt32)
+		}
 		if err := meter.AddState(machine.StateKeySize + nodeMemEstimate); err != nil {
 			return 0, false, err
 		}
-		id := len(nodes)
-		index[key] = id
-		nodes = append(nodes, &node{cfg: c, parent: parent, via: via})
+		id := int32(len(g.nodes))
+		g.index[key] = id
+		g.nodes = append(g.nodes, progressNode{parent: parent, via: via})
 		return id, true, nil
 	}
 
-	// pathTo reconstructs the schedule from the root to node id.
-	pathTo := func(id int) machine.Schedule {
-		var rev machine.Schedule
-		for id >= 0 && nodes[id].parent != id {
-			if nodes[id].parent < 0 {
-				break
+	// Reusable scratch, one slice per recursion depth: a depth's successor
+	// elements and successor ids stay live across the recursive calls
+	// issued while iterating them. The register slice is consumed before
+	// recursing.
+	var elemScratch [][]machine.Elem
+	var succScratch [][]int32
+	regScratch := make([]machine.Reg, 0, 8)
+
+	var expand func(id int32, depth int) error
+	expand = func(id int32, depth int) error {
+		g.nodes[id].term = c.AllHalted()
+		// Weak obstruction-freedom precondition: all but (at most) one
+		// process initial or final.
+		if err := s.checkWOFAt(c, res, func() machine.Schedule { return g.pathTo(id) }); err != nil {
+			return err
+		}
+		if depth >= len(elemScratch) {
+			elemScratch = append(elemScratch, make([]machine.Elem, 0, 8))
+			succScratch = append(succScratch, make([]int32, 0, 8))
+		}
+		succs := succScratch[depth][:0]
+		err := func() error {
+			for p := 0; p < c.N(); p++ {
+				if c.Halted(p) {
+					continue
+				}
+				elems := append(elemScratch[depth][:0], machine.PBottom(p))
+				regScratch = c.AppendBufferRegs(p, regScratch[:0])
+				for _, r := range regScratch {
+					if c.CanCommit(p, r) {
+						elems = append(elems, machine.PReg(p, r))
+					}
+				}
+				elemScratch[depth] = elems
+				for _, e := range elems {
+					if err := meter.AddStep(); err != nil {
+						return err
+					}
+					_, took, u, err := c.StepUndo(e)
+					if err != nil {
+						return err
+					}
+					if !took {
+						continue
+					}
+					sid, fresh, err := intern(id, e)
+					if err == nil {
+						succs = append(succs, sid)
+						if fresh {
+							err = expand(sid, depth+1)
+						}
+					}
+					u.Revert()
+					if err != nil {
+						return err
+					}
+				}
 			}
-			rev = append(rev, nodes[id].via)
-			id = nodes[id].parent
-		}
-		sched := make(machine.Schedule, len(rev))
-		for i := range rev {
-			sched[len(rev)-1-i] = rev[i]
-		}
-		return sched
+			return nil
+		}()
+		// Record the successors found so far even when unwinding on a
+		// limit: the analysis then runs on the truncated graph.
+		nd := &g.nodes[id]
+		nd.succLo = int32(len(g.succs))
+		g.succs = append(g.succs, succs...)
+		nd.succHi = int32(len(g.succs))
+		succScratch[depth] = succs[:0]
+		return err
 	}
 
-	rootID, _, err := intern(root, -1, machine.Elem{})
+	rootID, _, err := intern(-1, machine.Elem{})
 	if err != nil {
 		return nil, err
 	}
-	work := []int{rootID}
+	err = expand(rootID, 0)
+	if err != nil && !run.IsLimit(err) {
+		return nil, err
+	}
+	return g, err
+}
 
-	var limitErr error
-explore:
-	for len(work) > 0 {
-		id := work[len(work)-1]
-		work = work[:len(work)-1]
-		nd := nodes[id]
-		c := nd.cfg
+// pathTo reconstructs the schedule from the root to node id.
+func (g *progressGraph) pathTo(id int32) machine.Schedule {
+	var rev machine.Schedule
+	for ; g.nodes[id].parent >= 0; id = g.nodes[id].parent {
+		rev = append(rev, g.nodes[id].via)
+	}
+	sched := make(machine.Schedule, len(rev))
+	for i := range rev {
+		sched[len(rev)-1-i] = rev[i]
+	}
+	return sched
+}
 
-		nd.term = c.AllHalted()
+// analyse fills in the deadlock-freedom verdict: every state must reach a
+// terminal state, checked by reverse reachability from the terminal
+// states. The weak obstruction-freedom verdict follows from the witness
+// the exploration recorded.
+func (g *progressGraph) analyse(res *ProgressResult) {
+	g.index = nil // release it before the reverse adjacency is built
+	res.States = len(g.nodes)
 
-		// Weak obstruction-freedom precondition: all but (at most) one
-		// process initial or final.
-		if err := s.checkWOFAt(c, res, func() machine.Schedule { return pathTo(id) }); err != nil {
-			return nil, err
-		}
-
-		for p := 0; p < c.N(); p++ {
-			if c.Halted(p) {
-				continue
-			}
-			elems := []machine.Elem{machine.PBottom(p)}
-			for _, r := range c.BufferRegs(p) {
-				if c.CanCommit(p, r) {
-					elems = append(elems, machine.PReg(p, r))
-				}
-			}
-			for _, e := range elems {
-				if err := meter.AddStep(); err != nil {
-					limitErr = err
-					break explore
-				}
-				// Clone only elements that will take (the graph retains a
-				// configuration per node, so dead clones are pure waste);
-				// Enabled reports true on would-be-error states, so errors
-				// still surface below.
-				if !c.Enabled(e) {
-					continue
-				}
-				next := c.Clone()
-				if _, took, err := next.Step(e); err != nil {
-					return nil, err
-				} else if !took {
-					continue
-				}
-				sid, fresh, err := intern(next, id, e)
-				if err != nil {
-					if !run.IsLimit(err) {
-						return nil, err
-					}
-					limitErr = err
-					break explore
-				}
-				nd.succs = append(nd.succs, sid)
-				if fresh {
-					work = append(work, sid)
-				}
-			}
+	// Reverse adjacency in compressed form: pred[predLo[id]:predLo[id+1]]
+	// are the predecessors of id. predLo first counts in-degrees, then
+	// holds each range's end, and ends at each range's start as the fill
+	// loop counts it back down.
+	predLo := make([]int32, len(g.nodes)+1)
+	for _, sid := range g.succs {
+		predLo[sid]++
+	}
+	for id := 1; id < len(predLo); id++ {
+		predLo[id] += predLo[id-1]
+	}
+	pred := make([]int32, len(g.succs))
+	for id, nd := range g.nodes {
+		for _, sid := range g.succs[nd.succLo:nd.succHi] {
+			predLo[sid]--
+			pred[predLo[sid]] = int32(id)
 		}
 	}
-	if limitErr != nil {
-		res.Complete = false
-	}
-	res.States = len(nodes)
 
-	stuckPath := func(id int) machine.Schedule { return pathTo(id) }
-
-	// Reverse reachability from terminal states.
-	pred := make([][]int, len(nodes))
-	for id, nd := range nodes {
-		for _, sid := range nd.succs {
-			pred[sid] = append(pred[sid], id)
-		}
-	}
-	canFinish := make([]bool, len(nodes))
-	var queue []int
-	for id, nd := range nodes {
+	canFinish := make([]bool, len(g.nodes))
+	var queue []int32
+	for id, nd := range g.nodes {
 		if nd.term {
 			canFinish[id] = true
-			queue = append(queue, id)
+			queue = append(queue, int32(id))
 		}
 	}
 	for len(queue) > 0 {
 		id := queue[len(queue)-1]
 		queue = queue[:len(queue)-1]
-		for _, pid := range pred[id] {
+		for _, pid := range pred[predLo[id]:predLo[id+1]] {
 			if !canFinish[pid] {
 				canFinish[pid] = true
 				queue = append(queue, pid)
@@ -224,15 +280,12 @@ explore:
 		}
 	}
 	res.DeadlockFree = true
-	for id := range nodes {
+	for id := range g.nodes {
 		if !canFinish[id] {
 			res.DeadlockFree = false
 			res.StuckStates++
 			if res.StuckWitness == nil {
-				res.StuckWitness = stuckPath(id)
-				if res.StuckWitness == nil {
-					res.StuckWitness = machine.Schedule{}
-				}
+				res.StuckWitness = g.pathTo(int32(id))
 			}
 		}
 	}
@@ -241,7 +294,6 @@ explore:
 		res.DeadlockFree = false
 	}
 	res.WeakObstructionFree = res.WOFWitness == nil
-	return res, limitErr
 }
 
 // checkWOFAt tests the weak obstruction-freedom condition at one state;

@@ -2,6 +2,7 @@ package check
 
 import (
 	"errors"
+	"runtime"
 	"testing"
 
 	"tradingfences/internal/locks"
@@ -127,6 +128,49 @@ func TestProgressDetectsWOFViolation(t *testing.T) {
 		// either verdict but require the WOF refutation above.
 		t.Log("note: rendezvous pair completes under fair schedules; WOF refutation is the essential result")
 	}
+	// Replaying the WOF witness from a fresh build must reach a state that
+	// meets the precondition (at most one process mid-execution) and in
+	// which a process the condition quantifies over — the mid-execution
+	// one, or any unfinished one if none is — does not halt within the
+	// solo limit when run alone.
+	c, err := s.Build(machine.PSO)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Exec(res.WOFWitness); err != nil {
+		t.Fatal(err)
+	}
+	var active, unfinished []int
+	for p := 0; p < c.N(); p++ {
+		if c.Halted(p) {
+			continue
+		}
+		unfinished = append(unfinished, p)
+		if c.Stats().Steps[p] > 0 {
+			active = append(active, p)
+		}
+	}
+	if len(active) > 1 {
+		t.Fatalf("WOF witness %v reaches a state with %d mid-execution processes", res.WOFWitness, len(active))
+	}
+	candidates := unfinished
+	if len(active) == 1 {
+		candidates = active
+	}
+	refuted := false
+	for _, p := range candidates {
+		solo := c.Clone()
+		halted, err := solo.RunSolo(p, machine.DefaultSoloLimit(c.N()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !halted {
+			refuted = true
+		}
+	}
+	if !refuted {
+		t.Fatalf("after WOF witness %v every candidate of %v halts solo", res.WOFWitness, candidates)
+	}
 }
 
 // An incomplete exploration must not claim deadlock freedom, and the
@@ -159,5 +203,38 @@ func TestProgressString(t *testing.T) {
 	res := &ProgressResult{States: 5, Complete: true, DeadlockFree: true, WeakObstructionFree: true}
 	if s := res.String(); s == "" {
 		t.Fatal("empty summary")
+	}
+}
+
+// The memory budget must mean what it says: the meter's estimate for a
+// full bakery-n3/SC liveness graph stays within a factor of two of the
+// live heap the graph actually retains at the end of exploration (its
+// peak — the analysis releases the key index before building reverse
+// adjacency).
+func TestProgressMemEstimateHonest(t *testing.T) {
+	s, err := NewMutexSubject("bakery", locks.NewBakery, 3, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	meter := run.NewMeter(bg(), run.Budget{})
+	g, err := s.exploreProgress(meter, machine.SC, &ProgressResult{Complete: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(g)
+	if len(g.nodes) != 53968 {
+		t.Fatalf("explored %d states, want 53968", len(g.nodes))
+	}
+	heap := float64(after.HeapAlloc) - float64(before.HeapAlloc)
+	charged := float64(meter.Mem())
+	t.Logf("%d states: charged %.0f B/state, heap grew %.0f B/state",
+		len(g.nodes), charged/float64(len(g.nodes)), heap/float64(len(g.nodes)))
+	if charged > 2*heap || heap > 2*charged {
+		t.Fatalf("memory estimate %.0f B is not within 2x of the %.0f B the graph retains", charged, heap)
 	}
 }

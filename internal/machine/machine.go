@@ -123,11 +123,11 @@ type Config struct {
 	// through recovery continues the same super-passage, exactly the
 	// Chan–Woelfel cost unit. Deliberately excluded from state keys and
 	// fingerprints — it is cost accounting, not behaviour.
-	passEnabled        bool
+	passEnabled         bool
 	passEnter, passExit Reg
-	passLog            *PassageLog
-	passOpen           []bool
-	passCC, passDSM    []int64
+	passLog             *PassageLog
+	passOpen            []bool
+	passCC, passDSM     []int64
 
 	// Reorder-bounded buffer semantics (opt-in; see SetReorderBound). When
 	// reorderBound > 0, wbAges[p*cacheStride+r] is the reorder distance of

@@ -165,8 +165,8 @@ func TestTASAccountedAsCommit(t *testing.T) {
 func TestCrashRestartRecoverable(t *testing.T) {
 	prog := recoverable("r",
 		[]lang.Stmt{
-			lang.Read("d", lang.I(100)),  // durable
-			lang.Read("v", lang.I(101)),  // volatile
+			lang.Read("d", lang.I(100)), // durable
+			lang.Read("v", lang.I(101)), // volatile
 			lang.Write(lang.I(0), lang.Add(lang.Add(lang.L("d"), lang.L("v")), lang.L("rec"))),
 			lang.Fence(),
 			lang.Return(lang.I(0)),

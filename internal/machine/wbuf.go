@@ -207,7 +207,6 @@ func (b *psoBuffer) clone() writeBuffer {
 	return c
 }
 
-
 // tsoBuffer implements a FIFO store buffer: only the oldest write may
 // commit, so writes reach memory in program order. A later write to a
 // register already buffered coalesces in place (updating the value but

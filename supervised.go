@@ -48,10 +48,10 @@ type SupervisedAttempt = supervise.Attempt
 func supervisedVerdict(ctx context.Context, subject *check.Subject, spec LockSpec, n, passages int, model MemoryModel, out *supervise.Outcome, faults *FaultPlan) (*MutexVerdict, error) {
 	res := out.Result
 	v := &MutexVerdict{
-		Lock:            spec,
-		Model:           model,
-		Mode:            ModeExhaustive,
-		Violated:        res.Violation,
+		Lock:     spec,
+		Model:    model,
+		Mode:     ModeExhaustive,
+		Violated: res.Violation,
 		// A bounded-semantics completion is a bounded certificate, not a
 		// proof (same suppression as the unsupervised path).
 		Proved:          res.Complete && !res.Violation && res.ReorderBound == 0,
